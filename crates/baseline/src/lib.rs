@@ -26,16 +26,18 @@
 //! Because the library runs *inside* the tenant, there is no IPC latency —
 //! only a kernel-launch overhead per collective. The job executes as one
 //! library-mode engine in the shared [`World`], driving network flows and
-//! intra-host transfers directly.
+//! intra-host transfers directly. The world retires the job's task tokens
+//! as its flows and transfers finish; the job itself parks between its
+//! own deadlines and its communicator's progress signal.
 
 use mccs_collectives::{CollectiveOp, CollectiveSchedule, EdgeTask, RingOrder};
 use mccs_core::cluster::Cluster;
 use mccs_core::config::{CollectiveConfig, RouteMap};
-use mccs_core::world::{FlowOwner, World};
+use mccs_core::world::{resources, FlowOwner, World};
 use mccs_device::{StreamId, StreamOp};
 use mccs_ipc::{AppId, CommunicatorId};
 use mccs_netsim::{FlowSpec, RouteChoice};
-use mccs_sim::{Bytes, Engine, Nanos, Poll, Rng};
+use mccs_sim::{Bytes, Engine, Nanos, Poll, Rng, Wake};
 use mccs_topology::GpuId;
 use std::collections::HashMap;
 
@@ -112,7 +114,6 @@ enum JobState {
 pub struct BaselineJob {
     app: AppId,
     comm: CommunicatorId,
-    owner: u32,
     /// Membership, retained for management-style inspection in tests.
     #[allow(dead_code)]
     gpus: Vec<GpuId>,
@@ -153,7 +154,6 @@ impl BaselineJob {
         assert!(cfg.channels > 0, "job needs at least one channel");
         let app = cluster.register_app_name(name);
         let comm = CommunicatorId(BASELINE_COMM_BASE + u64::from(app.0));
-        let owner = cluster.world.alloc_external_owner();
         let topo = &cluster.world.topo;
         let channel_rings: Vec<RingOrder> = match &cfg.ring {
             RingChoice::RankOrder => {
@@ -189,7 +189,6 @@ impl BaselineJob {
         let job = BaselineJob {
             app,
             comm,
-            owner,
             gpus,
             channel_rings,
             routes: cfg.routes,
@@ -278,7 +277,7 @@ impl BaselineJob {
                             tenant: self.app.0,
                         },
                     );
-                    w.flow_owner_nic.insert(id, FlowOwner::External(self.owner));
+                    w.flow_owner_nic.insert(id, FlowOwner::External);
                 }
             }
         }
@@ -309,12 +308,7 @@ pub fn random_host_ring(
 
 impl Engine<World> for BaselineJob {
     fn progress(&mut self, w: &mut World) -> Poll {
-        // Route our flow completions into the shared progress registry.
-        let events = w.take_external_events(self.owner);
-        let mut progressed = !events.is_empty();
-        for c in events {
-            w.complete_token(c.tag, c.finished_at);
-        }
+        let mut progressed = false;
         loop {
             match self.state {
                 JobState::Idle => {
@@ -386,6 +380,19 @@ impl Engine<World> for BaselineJob {
             Poll::Progressed
         } else {
             Poll::Idle
+        }
+    }
+
+    /// Each state waits on exactly one thing: its own deadline, or (while
+    /// collecting) the communicator's progress signal, which the world
+    /// raises when the last task token of a collective retires.
+    fn wake_when(&self, _: &World) -> Wake {
+        match self.state {
+            JobState::Idle => Wake::at(self.start_at),
+            JobState::Computing { until } => Wake::at(until),
+            JobState::LaunchingAt { at, .. } => Wake::at(at),
+            JobState::Collecting { .. } => Wake::on(vec![resources::progress(self.comm)]),
+            JobState::Done => Wake::never(),
         }
     }
 

@@ -110,8 +110,9 @@ pub enum WorldEvent {
 pub enum FlowOwner {
     /// The transport engine of this NIC index (MCCS data path).
     Transport(usize),
-    /// An external engine (the NCCL-like baseline library, scale studies).
-    External(u32),
+    /// An external engine (the NCCL-like baseline library, scale studies):
+    /// its completion retires the flow's task token directly.
+    External,
 }
 
 /// Dense `flow id → owner` table. Flow ids are allocated sequentially by
@@ -441,10 +442,6 @@ pub struct World {
     /// Which NIC's transport owns each in-flight network flow (dense,
     /// id-windowed — see [`FlowOwners`]).
     pub flow_owner_nic: FlowOwners,
-    /// Completed flows owned by external (library-mode) engines, keyed by
-    /// their owner handle.
-    pub external_flow_events: HashMap<u32, Vec<FlowCompletion>>,
-    next_external_owner: u32,
     /// Communicator state, keyed `(comm, gpu)` — owned by proxy engines,
     /// world-resident so the management API can inspect it. Mutate through
     /// [`World::comm_insert`] / [`World::comm_remove`] so the per-GPU
@@ -665,8 +662,6 @@ impl World {
             transport_flow_events: vec![Vec::new(); nic_count],
             transport_flow_failures: vec![Vec::new(); nic_count],
             flow_owner_nic: FlowOwners::default(),
-            external_flow_events: HashMap::new(),
-            next_external_owner: 0,
             comms: BTreeMap::new(),
             comms_by_gpu: vec![Vec::new(); gpu_count],
             progress: HashMap::new(),
@@ -838,6 +833,7 @@ impl World {
     }
 
     fn advance_substrates(&mut self, t: Nanos) {
+        let mut external = Vec::new();
         for c in self.net.advance_to(t) {
             match self
                 .flow_owner_nic
@@ -848,15 +844,19 @@ impl World {
                     self.signals.push(resources::transport_flow(nic as u32));
                     self.transport_flow_events[nic].push(c);
                 }
-                FlowOwner::External(owner) => {
-                    self.external_flow_events.entry(owner).or_default().push(c)
-                }
+                FlowOwner::External => external.push(c),
             }
         }
         for n in self.devices.advance_to(t) {
             if let DeviceNotification::OpDone { token, at, .. } = n {
                 self.complete_token(token, at);
             }
+        }
+        // Library-mode flows have no transport to hand them to: their
+        // tokens retire here, after the device completions, and the
+        // owning job wakes on its communicator's progress signal.
+        for c in external {
+            self.complete_token(c.tag, c.finished_at);
         }
         // Device completions can be silent (token-0 kernels, inline
         // records): the fabric's touched-GPU set covers those too, with
@@ -957,7 +957,7 @@ impl World {
                     self.signals.push(resources::transport_flow(nic as u32));
                     self.transport_flow_failures[nic].push((id, token));
                 }
-                FlowOwner::External(_) => {}
+                FlowOwner::External => {}
             }
         }
     }
@@ -1281,18 +1281,6 @@ impl World {
     /// before triggering a reconfiguration to target its Req messages.
     pub fn control_ordinal(&self) -> u64 {
         self.control_seq
-    }
-
-    /// Allocate an owner handle for an external (library-mode) engine.
-    pub fn alloc_external_owner(&mut self) -> u32 {
-        let o = self.next_external_owner;
-        self.next_external_owner += 1;
-        o
-    }
-
-    /// Drain the completed flows of an external owner.
-    pub fn take_external_events(&mut self, owner: u32) -> Vec<FlowCompletion> {
-        self.external_flow_events.remove(&owner).unwrap_or_default()
     }
 
     /// The GPUs an application's endpoints occupy.

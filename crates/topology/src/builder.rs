@@ -19,6 +19,9 @@ pub struct TopologyBuilder {
     links: Vec<Link>,
     rack_pods: Vec<PodId>,
     rack_hosts: Vec<Vec<HostId>>,
+    /// Switch-to-switch links entering each switch, recorded as the
+    /// links are added (so in link-id order).
+    switch_in: Vec<Vec<LinkId>>,
 }
 
 impl TopologyBuilder {
@@ -40,6 +43,7 @@ impl TopologyBuilder {
     pub fn add_switch(&mut self, role: SwitchRole, rack: Option<RackId>) -> SwitchId {
         let id = SwitchId(self.switches.len() as u32);
         self.switches.push(Switch { id, role, rack });
+        self.switch_in.push(Vec::new());
         id
     }
 
@@ -112,6 +116,8 @@ impl TopologyBuilder {
         assert_ne!(a, b, "self-loop link");
         let ab = self.push_link(Endpoint::Switch(a), Endpoint::Switch(b), bandwidth);
         let ba = self.push_link(Endpoint::Switch(b), Endpoint::Switch(a), bandwidth);
+        self.switch_in[b.index()].push(ab);
+        self.switch_in[a.index()].push(ba);
         (ab, ba)
     }
 
@@ -124,7 +130,9 @@ impl TopologyBuilder {
         bandwidth: Bandwidth,
     ) -> LinkId {
         assert_ne!(from, to, "self-loop link");
-        self.push_link(Endpoint::Switch(from), Endpoint::Switch(to), bandwidth)
+        let id = self.push_link(Endpoint::Switch(from), Endpoint::Switch(to), bandwidth);
+        self.switch_in[to.index()].push(id);
+        id
     }
 
     fn push_link(&mut self, from: Endpoint, to: Endpoint, bandwidth: Bandwidth) -> LinkId {
@@ -159,6 +167,7 @@ impl TopologyBuilder {
             rack_pods: self.rack_pods,
             rack_hosts: self.rack_hosts,
             switch_out,
+            switch_in: self.switch_in,
             route_cache: Default::default(),
         };
         if let Err(e) = topo.validate() {
@@ -225,6 +234,7 @@ mod tests {
         assert_eq!(t.link(ab).from, Endpoint::Switch(s1));
         assert_eq!(t.link(ba).to, Endpoint::Switch(s1));
         assert_eq!(t.switch_out_links(s1).len(), 2); // to spine + host downlink
+        assert_eq!(t.switch_in_links(s1), &[ba]); // host uplinks are not indexed
     }
 
     #[test]

@@ -118,6 +118,10 @@ pub struct Topology {
     /// Outgoing switch-to-switch / switch-to-nic adjacency:
     /// for each switch, the links leaving it.
     pub(crate) switch_out: Vec<Vec<LinkId>>,
+    /// Incoming switch-to-switch adjacency: for each switch, the links
+    /// from other switches into it, in link-id order (the reverse BFS of
+    /// route enumeration walks this instead of every fabric link).
+    pub(crate) switch_in: Vec<Vec<LinkId>>,
     /// Memoized equal-cost path sets (see `routing`).
     pub(crate) route_cache: crate::routing::RouteCache,
 }
@@ -238,6 +242,11 @@ impl Topology {
         &self.switch_out[sw.index()]
     }
 
+    /// Switch-to-switch links entering a switch, in link-id order.
+    pub(crate) fn switch_in_links(&self, sw: SwitchId) -> &[LinkId] {
+        &self.switch_in[sw.index()]
+    }
+
     /// Per-link solver bucket for rack-partitioned rate solves: bucket `0`
     /// is the shared/global bucket (links not attributable to one rack —
     /// e.g. spine-to-spine hops in a switch ring); bucket `r + 1` holds
@@ -318,10 +327,23 @@ impl Topology {
                 return Err(format!("{} has zero bandwidth", l.id));
             }
         }
+        let mut switch_to_switch = 0;
         for (i, out) in self.switch_out.iter().enumerate() {
             for &l in out {
-                if self.link(l).from != Endpoint::Switch(SwitchId(i as u32)) {
+                let link = self.link(l);
+                if link.from != Endpoint::Switch(SwitchId(i as u32)) {
                     return Err(format!("adjacency of sw{i} lists foreign {l}"));
+                }
+                switch_to_switch += usize::from(matches!(link.to, Endpoint::Switch(_)));
+            }
+        }
+        for (i, inn) in self.switch_in.iter().enumerate() {
+            for &l in inn {
+                let link = self.link(l);
+                if link.to != Endpoint::Switch(SwitchId(i as u32))
+                    || !matches!(link.from, Endpoint::Switch(_))
+                {
+                    return Err(format!("in-adjacency of sw{i} lists foreign {l}"));
                 }
             }
         }
@@ -331,7 +353,8 @@ impl Topology {
             .filter(|l| matches!(l.from, Endpoint::Switch(_)))
             .count();
         let adj_total: usize = self.switch_out.iter().map(Vec::len).sum();
-        if switch_sourced != adj_total {
+        let in_total: usize = self.switch_in.iter().map(Vec::len).sum();
+        if switch_sourced != adj_total || switch_to_switch != in_total {
             return Err("switch adjacency incomplete".into());
         }
         Ok(())

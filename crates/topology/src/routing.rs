@@ -8,7 +8,11 @@
 //!
 //! Enumeration is a BFS over switches followed by a shortest-path-DAG walk,
 //! with results memoized per NIC pair (the 768-GPU cluster of §6.5 touches
-//! many pairs repeatedly during fair flow assignment).
+//! many pairs repeatedly during fair flow assignment). The walk's
+//! distance-to-goal comes from a reverse BFS over the topology's in-link
+//! index (`Topology::switch_in_links`), so a cold pair costs
+//! O(switch-to-switch links) once rather than a scan of every fabric link
+//! per frontier switch.
 
 use crate::graph::{Endpoint, Topology};
 use crate::ids::{LinkId, NicId, SwitchId};
@@ -123,6 +127,41 @@ impl Topology {
 
     /// BFS + shortest-path-DAG enumeration.
     fn enumerate_shortest(&self, src: NicId, dst: NicId) -> Vec<Route> {
+        self.enumerate_with(src, dst, Self::distances_to)
+    }
+
+    /// Hop distance from every switch to `goal` over switch-to-switch
+    /// links (`u32::MAX` where `goal` is unreachable): a BFS that walks
+    /// the in-link index backwards from `goal`.
+    fn distances_to(&self, goal: SwitchId) -> Vec<u32> {
+        let mut dist_to_goal = vec![u32::MAX; self.switches().len()];
+        dist_to_goal[goal.index()] = 0;
+        let mut frontier = vec![goal];
+        while !frontier.is_empty() {
+            let mut next = Vec::new();
+            for sw in frontier {
+                for &lid in self.switch_in_links(sw) {
+                    if let Endpoint::Switch(prev) = self.link(lid).from {
+                        if dist_to_goal[prev.index()] == u32::MAX {
+                            dist_to_goal[prev.index()] = dist_to_goal[sw.index()] + 1;
+                            next.push(prev);
+                        }
+                    }
+                }
+            }
+            frontier = next;
+        }
+        dist_to_goal
+    }
+
+    /// The enumeration with the reverse BFS supplied by `distances_to`
+    /// (the in-link index in production, the link scan in the oracle).
+    fn enumerate_with(
+        &self,
+        src: NicId,
+        dst: NicId,
+        distances_to: fn(&Self, SwitchId) -> Vec<u32>,
+    ) -> Vec<Route> {
         let src_nic = self.nic(src);
         let dst_nic = self.nic(dst);
         let start = src_nic.switch;
@@ -164,26 +203,7 @@ impl Topology {
 
         // Walk every path that strictly descends the BFS distance-to-go.
         // Recomputing distance-from-goal gives us that descent test.
-        let mut dist_to_goal = vec![u32::MAX; n];
-        dist_to_goal[goal.index()] = 0;
-        let mut frontier = vec![goal];
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for sw in frontier {
-                // reverse traversal: find links INTO `sw`
-                for link in self.links() {
-                    if link.to == Endpoint::Switch(sw) {
-                        if let Endpoint::Switch(prev) = link.from {
-                            if dist_to_goal[prev.index()] == u32::MAX {
-                                dist_to_goal[prev.index()] = dist_to_goal[sw.index()] + 1;
-                                next.push(prev);
-                            }
-                        }
-                    }
-                }
-            }
-            frontier = next;
-        }
+        let dist_to_goal = distances_to(self, goal);
 
         let total = dist[goal.index()];
         let mut routes = Vec::new();
@@ -370,5 +390,171 @@ mod tests {
                                              // Opposite corners: both directions are 2 switch hops -> 2 paths.
         let paths = t.ecmp_paths(NicId(0), NicId(2));
         assert_eq!(paths.len(), 2);
+    }
+
+    impl Topology {
+        /// The reference reverse BFS: for each frontier switch, scan every
+        /// fabric link for the ones entering it. Quadratic in the fabric,
+        /// but free of any adjacency index.
+        fn distances_to_scan(&self, goal: SwitchId) -> Vec<u32> {
+            let mut dist_to_goal = vec![u32::MAX; self.switches().len()];
+            dist_to_goal[goal.index()] = 0;
+            let mut frontier = vec![goal];
+            while !frontier.is_empty() {
+                let mut next = Vec::new();
+                for sw in frontier {
+                    for link in self.links() {
+                        if link.to == Endpoint::Switch(sw) {
+                            if let Endpoint::Switch(prev) = link.from {
+                                if dist_to_goal[prev.index()] == u32::MAX {
+                                    dist_to_goal[prev.index()] = dist_to_goal[sw.index()] + 1;
+                                    next.push(prev);
+                                }
+                            }
+                        }
+                    }
+                }
+                frontier = next;
+            }
+            dist_to_goal
+        }
+    }
+
+    /// Every ordered NIC pair's indexed route set (routes, order and
+    /// `RouteId` numbering) equals the link-scan oracle's.
+    fn assert_matches_scan_oracle(t: &Topology) {
+        for a in t.nics() {
+            for b in t.nics() {
+                if a.id == b.id {
+                    continue;
+                }
+                let oracle = t.enumerate_with(a.id, b.id, Topology::distances_to_scan);
+                assert_eq!(*t.ecmp_paths(a.id, b.id), oracle, "{} -> {}", a.id, b.id);
+            }
+        }
+    }
+
+    /// A fabric from an explicit switch graph: switch `i` gets its own
+    /// rack with `hosts[i]` single-GPU hosts (a switch with none is a
+    /// spine), and each edge `(from, to, both_ways)` adds a one-way link
+    /// or a bidirectional pair.
+    fn fabric(hosts: &[usize], edges: &[(usize, usize, bool)]) -> Topology {
+        let mut b = TopologyBuilder::new();
+        let bw = Bandwidth::gbps(100.0);
+        let sw: Vec<_> = hosts
+            .iter()
+            .map(|&h| {
+                if h == 0 {
+                    b.add_switch(SwitchRole::Spine, None)
+                } else {
+                    let rack = b.add_rack(PodId(0));
+                    let leaf = b.add_switch(SwitchRole::Leaf, Some(rack));
+                    for _ in 0..h {
+                        b.add_host(rack, leaf, 1, bw);
+                    }
+                    leaf
+                }
+            })
+            .collect();
+        for &(from, to, both_ways) in edges {
+            if from == to {
+                continue;
+            }
+            if both_ways {
+                b.connect_switches(sw[from], sw[to], bw);
+            } else {
+                b.connect_switches_oneway(sw[from], sw[to], bw);
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn in_link_index_matches_the_link_scan_on_presets() {
+        assert_matches_scan_oracle(&crate::presets::testbed());
+        assert_matches_scan_oracle(&crate::presets::switch_ring(
+            5,
+            2,
+            Bandwidth::gbps(100.0),
+            Bandwidth::gbps(100.0),
+        ));
+    }
+
+    mod oracle {
+        use super::*;
+        use crate::presets::{spine_leaf, SpineLeafConfig};
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn random_spine_leaf_matches_oracle(
+                (spines, leaves, hosts_per_leaf, gpus_per_host) in (1usize..5, 1usize..6, 1usize..3, 1usize..3),
+            ) {
+                assert_matches_scan_oracle(&spine_leaf(&SpineLeafConfig {
+                    spines,
+                    leaves,
+                    hosts_per_leaf,
+                    gpus_per_host,
+                    nic_bandwidth: Bandwidth::gbps(100.0),
+                    leaf_spine_bandwidth: Bandwidth::gbps(200.0),
+                }));
+            }
+
+            /// A one-way (or two-way) ring through every switch keeps the
+            /// fabric strongly connected; random one-way chords and
+            /// parallel links make the shortest-path DAG lopsided.
+            #[test]
+            fn switch_ring_with_one_way_chords_matches_oracle(
+                (n, ring_both_ways, chords) in (
+                    2usize..9,
+                    any::<bool>(),
+                    vec((any::<u32>(), any::<u32>(), any::<bool>()), 0..12),
+                ),
+            ) {
+                let mut edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n, ring_both_ways)).collect();
+                edges.extend(
+                    chords
+                        .iter()
+                        .map(|&(a, b, both)| (a as usize % n, b as usize % n, both)),
+                );
+                assert_matches_scan_oracle(&fabric(&vec![1; n], &edges));
+            }
+
+            /// Leaf 0 reaches every spine; every other leaf a random
+            /// non-empty subset (unequal fan-out). On top: one-way
+            /// spine-to-spine links and extra one-way leaf-spine links.
+            #[test]
+            fn unequal_spine_fan_out_matches_oracle(
+                (spines, fan_out, extras) in (
+                    1usize..5,
+                    vec((1usize..3, any::<u32>()), 1..6),
+                    vec((any::<u32>(), any::<u32>(), any::<bool>()), 0..8),
+                ),
+            ) {
+                let leaves = fan_out.len() + 1;
+                let mut hosts = vec![0; spines];
+                hosts.extend(std::iter::once(1).chain(fan_out.iter().map(|&(h, _)| h)));
+                let mut edges: Vec<_> = (0..spines).map(|s| (spines, s, true)).collect();
+                for (l, &(_, mask)) in fan_out.iter().enumerate() {
+                    let mask = (mask as usize % ((1 << spines) - 1)) + 1;
+                    edges.extend(
+                        (0..spines)
+                            .filter(|s| mask & (1 << s) != 0)
+                            .map(|s| (spines + 1 + l, s, true)),
+                    );
+                }
+                edges.extend(extras.iter().map(|&(a, b, spine_pair)| {
+                    if spine_pair {
+                        (a as usize % spines, b as usize % spines, false)
+                    } else {
+                        (spines + a as usize % leaves, b as usize % spines, false)
+                    }
+                }));
+                assert_matches_scan_oracle(&fabric(&hosts, &edges));
+            }
+        }
     }
 }
